@@ -361,7 +361,7 @@ type Engine struct {
 	wlog   *wal.Log // durability layer; nil unless Config.Durability.Dir
 
 	onMatch func(Match)
-	pull    *matchQueue
+	pull    *join.MatchQueue[Match]
 
 	tuples        atomic.Uint64
 	serialMatches atomic.Uint64
@@ -397,7 +397,7 @@ func openWithWALFS(cfg Config, wfs wal.FS) (*Engine, error) {
 	}
 	e := &Engine{cfg: cc, mode: cc.Mode, onMatch: cc.OnMatch}
 	if !cc.DiscardMatches {
-		e.pull = newMatchQueue()
+		e.pull = join.NewMatchQueue[Match]()
 	}
 	var sink join.MatchSink
 	if e.pull != nil || e.onMatch != nil {
@@ -524,7 +524,7 @@ func (e *Engine) dispatch(s uint8, probe, match uint64) {
 		e.onMatch(m)
 	}
 	if e.pull != nil {
-		e.pull.push(m)
+		e.pull.Push(m)
 	}
 }
 
@@ -684,19 +684,7 @@ func (e *Engine) Matches() iter.Seq[Match] {
 	if e.pull == nil {
 		return func(func(Match) bool) {}
 	}
-	e.pull.arm()
-	return func(yield func(Match) bool) {
-		for {
-			m, ok := e.pull.next()
-			if !ok {
-				return
-			}
-			if !yield(m) {
-				e.pull.disarm()
-				return
-			}
-		}
-	}
+	return e.pull.Seq()
 }
 
 // Stats returns a live snapshot: tuples admitted by the runtime (in
@@ -901,7 +889,7 @@ func (e *Engine) Close(ctx context.Context) (RunStats, error) {
 			st = e.router.Close()
 		}
 		if e.pull != nil {
-			e.pull.close()
+			e.pull.Close()
 		}
 	}()
 	select {
@@ -946,90 +934,4 @@ func (e *Engine) finish(st join.Stats) RunStats {
 	}
 	e.fillGC(&rs)
 	return rs
-}
-
-// matchQueue is the unbounded FIFO behind the pull side. Producers
-// (propagation goroutines) never block on it — bounding it would deadlock
-// ModeSerial, whose producer and consumer can share a goroutine — so it
-// only buffers while armed: breaking out of the iterator disarms it, which
-// is what keeps an abandoned pull side from growing forever.
-type matchQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	armed  atomic.Bool
-	buf    []Match
-	head   int
-	closed bool
-}
-
-func newMatchQueue() *matchQueue {
-	q := &matchQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *matchQueue) arm() {
-	if q.armed.Swap(true) {
-		return
-	}
-	// Fresh collection window: drop any residue a disarmed consumer (or a
-	// push that raced the disarm) left behind.
-	q.mu.Lock()
-	q.buf = q.buf[:0]
-	q.head = 0
-	q.mu.Unlock()
-}
-
-// disarm stops collection and drops the buffer. A push that loaded armed
-// just before the store may still append one match; it is bounded residue
-// that the next arm clears.
-func (q *matchQueue) disarm() {
-	q.armed.Store(false)
-	q.mu.Lock()
-	q.buf = q.buf[:0]
-	q.head = 0
-	q.mu.Unlock()
-}
-
-func (q *matchQueue) push(m Match) {
-	if !q.armed.Load() {
-		return
-	}
-	q.mu.Lock()
-	q.buf = append(q.buf, m)
-	q.cond.Signal()
-	q.mu.Unlock()
-}
-
-func (q *matchQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-func (q *matchQueue) next() (Match, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head >= len(q.buf) && !q.closed {
-		q.cond.Wait()
-	}
-	if q.head < len(q.buf) {
-		m := q.buf[q.head]
-		q.head++
-		switch {
-		case q.head == len(q.buf):
-			q.buf = q.buf[:0]
-			q.head = 0
-		case q.head >= 1024 && q.head*2 >= len(q.buf):
-			// Compact the consumed prefix: a long-lived session whose
-			// consumer stays slightly behind would otherwise grow the
-			// buffer with every match ever emitted.
-			n := copy(q.buf, q.buf[q.head:])
-			q.buf = q.buf[:n]
-			q.head = 0
-		}
-		return m, true
-	}
-	return Match{}, false
 }

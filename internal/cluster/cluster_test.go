@@ -182,7 +182,7 @@ func timedClusterCfg(nodes []string) Config {
 // TestClusterConformance pins the tentpole acceptance criterion: a router
 // over 1, 2, and 4 serve nodes produces a match multiset identical to one
 // direct local engine on the same input, in count, timed, and self-join
-// modes.
+// modes, and with in-flight rings small enough to stay full.
 func TestClusterConformance(t *testing.T) {
 	const n = 4000
 	carr := countArrivals(n, 11)
@@ -231,6 +231,21 @@ func TestClusterConformance(t *testing.T) {
 			cfg.Self, cfg.WS = true, 0
 			got := runFrontend(t, cfg, [][]pimtree.Arrival{sarr}, nil)
 			requireSameMultiset(t, got, selfWant)
+		})
+		// A ring far smaller than one batch keeps the router's and every
+		// member's in-flight ring full, so nearly every admission takes the
+		// flush-propagate-park backpressure path.
+		t.Run(modeName("tiny-ring-count", nodes), func(t *testing.T) {
+			cfg := countClusterCfg(startNodes(t, nodes))
+			cfg.Capacity, cfg.NodeRing = 8, 4
+			got := runFrontend(t, cfg, [][]pimtree.Arrival{carr}, nil)
+			requireSameMultiset(t, got, countWant)
+		})
+		t.Run(modeName("tiny-ring-timed", nodes), func(t *testing.T) {
+			cfg := timedClusterCfg(startNodes(t, nodes))
+			cfg.Capacity, cfg.NodeRing = 8, 4
+			got := runFrontend(t, cfg, [][]pimtree.Arrival{sliceCopy(tarr)}, nil)
+			requireSameMultiset(t, got, timedWant)
 		})
 	}
 }

@@ -5,11 +5,13 @@
 // per-node match streams back into one globally ordered feed, and
 // aggregates per-node watermarks into a global frontier.
 //
-// The design is shard.Router lifted one level: the Frontend performs ALL
-// global sequencing — per-stream sequence heads, band fan-out with the
-// [te, tl) window captured at admission, eviction watermarks, timed-mode
-// reordering — and the nodes only apply ops in shipment order (shard.Member)
-// and report each probe's matched sequences. Exactness therefore follows
+// The design is shard.Router lifted one level: the Frontend is the same
+// shard.Sequencer plus a shard.Ring over remote nodes instead of local
+// shards. It performs ALL global sequencing — per-stream sequence heads,
+// band fan-out with the [te, tl) window captured at admission, eviction
+// watermarks, timed-mode reordering — and the nodes only apply ops in
+// shipment order (shard.Member, the shard executor fed over the wire) and
+// report each probe's matched sequences. Exactness therefore follows
 // from the same argument as the single-machine runtime: ops reach every
 // engine in global arrival order, liveness is filtered by windows captured
 // at admission, and the composition of the node partitioner with each
@@ -175,14 +177,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// probeState tracks one arrival's completion across its fan-out nodes,
-// padded against false sharing (same layout as the shard layer's).
-type probeState struct {
-	pending   atomic.Int32
-	completed atomic.Bool
-	_         [64 - 5]byte
-}
-
 // Frontend is the cluster router's engine: it implements server.Engine over
 // N remote member sessions. PushBatch/Drain/Close are producer-serialized
 // (the serving layer's single producer goroutine); Stats, ShardLoads,
@@ -207,34 +201,12 @@ type Frontend struct {
 	part  shard.RangePartitioner
 	epoch atomic.Int64
 
-	heads  [2]uint64 // per-stream global sequence counters
-	wlen   [2]uint64
-	n      int // arrivals routed so far
-	capN   int
-	routed atomic.Int64
-
-	// In-flight completion ring, ring-indexed by arrival ordinal modulo
-	// capN; bucket b of a slot belongs to fan-out node s1+b, written by that
-	// node's reader goroutine (or nilled by the shed/down paths).
-	probeStream []uint8
-	probeSeq    []uint64
-	results     [][][]uint64
-	nbuck       []int32
-	state       []probeState
-
-	// Ordered propagation and backpressure (shard.Router's proven try-lock
-	// and lost-wakeup-free waiter protocols; see there for the memory-model
-	// argument). Quiesce waiters share bpCond: propagate broadcasts whenever
-	// the frontier advances and someone is parked.
-	propLock atomic.Bool
-	propHead atomic.Int64
-	matches  uint64
-	matchesA atomic.Uint64
-	pull     *matchQueue
-
-	bpMu      sync.Mutex
-	bpCond    *sync.Cond
-	bpWaiters atomic.Int32
+	seq shard.Sequencer
+	// ring is the in-flight completion ring over nodes: bucket b of a slot
+	// belongs to fan-out node s1+b, completed by that node's reader
+	// goroutine (or nilled by the shed/down paths).
+	ring *shard.Ring
+	pull *join.MatchQueue[pimtree.Match]
 
 	reorder *ooo.Reorderer // timed-mode admission; nil for count windows
 
@@ -261,6 +233,10 @@ func New(cfg Config) (*Frontend, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	var span uint64 // count windows
+	if cfg.Timed {
+		span = cfg.Span
+	}
 	fe := &Frontend{
 		cfg:  cfg,
 		band: join.Band{Diff: cfg.Diff},
@@ -270,29 +246,15 @@ func New(cfg Config) (*Frontend, error) {
 			MaxLive: cfg.MaxLive, Span: cfg.Span,
 			Batch: cfg.BatchSize, Ring: cfg.NodeRing,
 		},
-		capN:        cfg.Capacity,
-		probeStream: make([]uint8, cfg.Capacity),
-		probeSeq:    make([]uint64, cfg.Capacity),
-		results:     make([][][]uint64, cfg.Capacity),
-		nbuck:       make([]int32, cfg.Capacity),
-		state:       make([]probeState, cfg.Capacity),
-		pull:        newMatchQueue(),
-		pingStop:    make(chan struct{}),
-		pingDone:    make(chan struct{}),
-	}
-	fe.wlen = [2]uint64{uint64(cfg.WR), uint64(cfg.WS)}
-	if cfg.Self {
-		fe.wlen[1] = fe.wlen[0]
+		seq:      shard.NewSequencer(cfg.WR, cfg.WS, cfg.Self, span),
+		pull:     join.NewMatchQueue[pimtree.Match](),
+		pingStop: make(chan struct{}),
+		pingDone: make(chan struct{}),
 	}
 	if cfg.Timed {
-		// MaxLive plays the window-length role, as in the shard layer.
-		fe.wlen = [2]uint64{uint64(cfg.MaxLive), uint64(cfg.MaxLive)}
 		fe.reorder = ooo.New(cfg.Slack, oooPolicy(cfg.LatePolicy), nil)
 	}
-	fe.bpCond = sync.NewCond(&fe.bpMu)
-	for i := range fe.results {
-		fe.results[i] = make([][]uint64, len(cfg.Nodes))
-	}
+	fe.ring = shard.NewRing(cfg.Capacity, len(cfg.Nodes), fe.emit, fe.flushAll)
 	for pos, addr := range cfg.Nodes {
 		nd, err := fe.dialNode(addr)
 		if err != nil {
@@ -340,14 +302,6 @@ func (fe *Frontend) dialNode(addr string) (*node, error) {
 	}
 }
 
-// sid folds a stream id onto its store slot (self-joins use slot 0 only).
-func (fe *Frontend) sid(s uint8) uint8 {
-	if fe.cfg.Self {
-		return 0
-	}
-	return s
-}
-
 // oooPolicy maps the public late policy onto the reorder buffer's (LateCall
 // is rejected at validation — the router has no OnLate hook).
 func oooPolicy(p pimtree.LatePolicy) ooo.Policy {
@@ -357,150 +311,60 @@ func oooPolicy(p pimtree.LatePolicy) ooo.Policy {
 	return ooo.Drop
 }
 
-// opposite returns the other stream id.
-func opposite(s uint8) uint8 {
-	if s == uint8(pimtree.R) {
-		return uint8(pimtree.S)
-	}
-	return uint8(pimtree.R)
-}
-
-// clampNode keeps a partitioner result inside the node array.
-func (fe *Frontend) clampNode(p int) int {
-	if p < 0 {
-		return 0
-	}
-	if p >= len(fe.nodes) {
-		return len(fe.nodes) - 1
-	}
-	return p
-}
-
-// admit claims the ring slot for the next arrival, flushing and blocking
-// while the ring is full (results the merge stage is waiting on may still
-// sit in pending batches).
-func (fe *Frontend) admit() int {
-	if fe.n-int(fe.propHead.Load()) >= fe.capN {
-		fe.flushAll()
-		// Probes that completed without any live fan-out have no reader to
-		// propagate them; run a pass before parking.
-		fe.propagate()
-		fe.bpMu.Lock()
-		fe.bpWaiters.Add(1)
-		for fe.n-int(fe.propHead.Load()) >= fe.capN {
-			fe.bpCond.Wait()
+// emit queues one retired arrival's matches for the pull side.
+func (fe *Frontend) emit(s uint8, probeSeq uint64, buckets [][]uint64) {
+	for _, bucket := range buckets {
+		for _, mseq := range bucket {
+			fe.pull.Push(pimtree.Match{
+				ProbeStream: pimtree.StreamID(s),
+				ProbeSeq:    probeSeq,
+				MatchSeq:    mseq,
+			})
 		}
-		fe.bpWaiters.Add(-1)
-		fe.bpMu.Unlock()
 	}
-	slot := fe.n % fe.capN
-	fe.state[slot].completed.Store(false)
-	return slot
 }
 
-// route routes one count-window arrival: a probe op to every node whose
-// range intersects the band interval, then an insert op to the key's owner
-// node — shard.Router.Push over nodes.
-func (fe *Frontend) route(s uint8, key uint32) {
-	i := fe.n
-	slot := fe.admit()
-	own := fe.sid(s)
-	opp := own
-	if !fe.cfg.Self {
-		opp = fe.sid(opposite(s))
-	}
-	tl := fe.heads[opp]
-	te := uint64(0)
-	if tl > fe.wlen[opp] {
-		te = tl - fe.wlen[opp]
-	}
-	lo, hi := fe.band.Range(key)
-	fe.fanProbe(i, slot, s, own, opp, lo, hi, te, tl)
-
-	seq := fe.heads[own]
-	fe.heads[own]++
-	wm := uint64(0)
-	if seq+1 > fe.wlen[own] {
-		wm = seq + 1 - fe.wlen[own]
-	}
-	fe.routeInsert(own, key, seq, wm, 0)
-	fe.n++
-	fe.routed.Store(int64(fe.n))
-}
-
-// routeTimed routes one watermark-released timed tuple — the
-// shard.Router.routeTimed analogue (released timestamps are non-decreasing,
-// which keeps the member stores' ring eviction and the probes' seq < tl
-// bound exact).
-func (fe *Frontend) routeTimed(t ooo.Tuple) {
-	i := fe.n
-	slot := fe.admit()
-	own := fe.sid(t.Stream)
-	opp := own
-	if !fe.cfg.Self {
-		opp = fe.sid(opposite(t.Stream))
-	}
-	tl := fe.heads[opp]
-	var minTS uint64
-	if t.TS >= fe.cfg.Span {
-		minTS = t.TS - fe.cfg.Span + 1
-	}
+// route routes one admitted arrival (TS is ignored for count windows): a
+// probe op to every node whose range intersects the band interval, then an
+// insert op to the key's owner node — shard.Router's route over nodes.
+// Buckets of down nodes are nilled and pre-completed (the shed path), so
+// the slot still retires.
+func (fe *Frontend) route(t ooo.Tuple) {
+	st := fe.seq.Next(t.Stream, t.TS)
 	lo, hi := fe.band.Range(t.Key)
-	fe.fanProbe(i, slot, t.Stream, own, opp, lo, hi, minTS, tl)
-
-	seq := fe.heads[own]
-	fe.heads[own]++
-	fe.routeInsert(own, t.Key, seq, minTS, t.TS)
-	fe.n++
-	fe.routed.Store(int64(fe.n))
-}
-
-// fanProbe fans one probe out to the nodes intersecting [lo, hi]. Buckets of
-// down nodes are nilled and pre-completed (the shed path), so the slot still
-// retires; probed is the window the probe scans (opp for two-way joins).
-func (fe *Frontend) fanProbe(i, slot int, s, own, probed uint8, lo, hi uint32, te, tl uint64) {
-	s1 := fe.clampNode(fe.part.ShardOf(lo))
-	s2 := fe.clampNode(fe.part.ShardOf(hi))
-	fe.probeStream[slot] = s
-	fe.probeSeq[slot] = fe.heads[own]
-	fe.nbuck[slot] = int32(s2 - s1 + 1)
-	fe.state[slot].pending.Store(int32(s2 - s1 + 1))
+	s1, s2 := fe.part.ShardOf(lo), fe.part.ShardOf(hi)
+	idx, slot := fe.ring.Admit(t.Stream, st.Seq, s2-s1+1)
 	for p := s1; p <= s2; p++ {
 		nd := fe.nodes[p]
 		ok := nd.alive.Load() && nd.pushOutstanding(outstanding{
-			idx: uint64(i), slot: int32(slot), bucket: int32(p - s1),
+			idx: uint64(idx), slot: int32(slot), bucket: int32(p - s1),
 		})
 		if !ok {
 			// Down node: its bucket must not leak the slot's previous
 			// tenant's matches, and its pending share completes here.
-			fe.results[slot][p-s1] = nil
 			fe.sheds.Add(1)
-			if fe.state[slot].pending.Add(-1) == 0 {
-				fe.state[slot].completed.Store(true)
-			}
+			fe.ring.Complete(slot, p-s1, nil)
 			continue
 		}
-		nd.pend = append(nd.pend, shard.Op{
-			Stream: probed, Lo: lo, Hi: hi, TE: te, TL: tl, Idx: uint64(i),
-		})
 		nd.probes.Add(1)
-		if len(nd.pend) >= fe.cfg.BatchSize {
-			fe.flushNode(nd)
-		}
+		fe.ship(nd, shard.Op{
+			Stream: st.Probed, Lo: lo, Hi: hi, TE: st.TE, TL: st.TL, Idx: uint64(idx),
+		})
 	}
+	if nd := fe.nodes[fe.part.ShardOf(t.Key)]; nd.alive.Load() {
+		nd.inserts.Add(1)
+		fe.ship(nd, shard.Op{
+			Insert: true, Stream: st.Own, Key: t.Key, Seq: st.Seq, TE: st.WM, TS: t.TS,
+		})
+	} else {
+		fe.sheds.Add(1)
+	}
+	fe.ring.Publish()
 }
 
-// routeInsert ships one insert op to the key's owner node.
-func (fe *Frontend) routeInsert(own uint8, key uint32, seq, wm, ts uint64) {
-	nd := fe.nodes[fe.clampNode(fe.part.ShardOf(key))]
-	if !nd.alive.Load() {
-		fe.sheds.Add(1)
-		return
-	}
-	nd.pend = append(nd.pend, shard.Op{
-		Insert: true, Stream: own, Key: key, Seq: seq, TE: wm, TS: ts,
-	})
-	nd.inserts.Add(1)
+// ship appends an op to a node's pending batch, flushing on size.
+func (fe *Frontend) ship(nd *node, o shard.Op) {
+	nd.pend = append(nd.pend, o)
 	if len(nd.pend) >= fe.cfg.BatchSize {
 		fe.flushNode(nd)
 	}
@@ -526,73 +390,6 @@ func (fe *Frontend) flushAll() {
 	for _, nd := range fe.nodes {
 		fe.flushNode(nd)
 	}
-}
-
-// propagate is the order-preserving merge stage across nodes: under a
-// try-lock, emit the matches of every completed arrival at the ring head in
-// arrival order; within one arrival, node buckets are emitted in node
-// order, which is key-range order. Same retry protocol as shard.Router.
-func (fe *Frontend) propagate() {
-	for {
-		if !fe.propLock.CompareAndSwap(false, true) {
-			return
-		}
-		routed := int(fe.routed.Load())
-		head := int(fe.propHead.Load())
-		advanced := false
-		for head < routed && fe.state[head%fe.capN].completed.Load() {
-			h := head % fe.capN
-			for _, bucket := range fe.results[h][:fe.nbuck[h]] {
-				fe.matches += uint64(len(bucket))
-				for _, mseq := range bucket {
-					fe.pull.push(pimtree.Match{
-						ProbeStream: pimtree.StreamID(fe.probeStream[h]),
-						ProbeSeq:    fe.probeSeq[h],
-						MatchSeq:    mseq,
-					})
-				}
-			}
-			head++
-			advanced = true
-		}
-		if advanced {
-			fe.matchesA.Store(fe.matches)
-			fe.propHead.Store(int64(head))
-		}
-		fe.propLock.Store(false)
-		if advanced && fe.bpWaiters.Load() > 0 {
-			fe.bpMu.Lock()
-			fe.bpCond.Broadcast()
-			fe.bpMu.Unlock()
-		}
-		routed = int(fe.routed.Load())
-		if head >= routed || !fe.state[head%fe.capN].completed.Load() {
-			return
-		}
-	}
-}
-
-// waitQuiesce blocks until every routed arrival has propagated (prodMu
-// held, pending batches already flushed).
-func (fe *Frontend) waitQuiesce(ctx context.Context) error {
-	fe.propagate()
-	stop := context.AfterFunc(ctx, func() {
-		fe.bpMu.Lock()
-		fe.bpCond.Broadcast()
-		fe.bpMu.Unlock()
-	})
-	defer stop()
-	fe.bpMu.Lock()
-	defer fe.bpMu.Unlock()
-	fe.bpWaiters.Add(1)
-	defer fe.bpWaiters.Add(-1)
-	for int(fe.propHead.Load()) != fe.n {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		fe.bpCond.Wait()
-	}
-	return nil
 }
 
 // fail records the first fatal failure (Fail policy).
@@ -631,19 +428,7 @@ func (fe *Frontend) EmitsMatches() bool { return true }
 // Matches returns the pull-side match iterator (the serving layer arms it
 // once and is its only consumer).
 func (fe *Frontend) Matches() iter.Seq[pimtree.Match] {
-	fe.pull.arm()
-	return func(yield func(pimtree.Match) bool) {
-		for {
-			m, ok := fe.pull.next()
-			if !ok {
-				return
-			}
-			if !yield(m) {
-				fe.pull.disarm()
-				return
-			}
-		}
-	}
+	return fe.pull.Seq()
 }
 
 // PushBatch routes a batch of arrivals across the cluster. Single producer
@@ -669,15 +454,15 @@ func (fe *Frontend) PushBatch(batch []pimtree.Arrival) error {
 			fe.lastTS = last
 		}
 		for _, a := range batch {
-			fe.reorder.Push(ooo.Tuple{Stream: uint8(a.Stream), Key: a.Key, TS: a.TS}, fe.routeTimed)
+			fe.reorder.Push(ooo.Tuple{Stream: uint8(a.Stream), Key: a.Key, TS: a.TS}, fe.route)
 		}
 	} else {
 		for _, a := range batch {
-			fe.route(uint8(a.Stream), a.Key)
+			fe.route(ooo.Tuple{Stream: uint8(a.Stream), Key: a.Key})
 		}
 	}
 	fe.flushAll()
-	fe.propagate()
+	fe.ring.Propagate()
 	return fe.errLoad()
 }
 
@@ -691,10 +476,10 @@ func (fe *Frontend) Drain(ctx context.Context) error {
 		return pimtree.ErrClosed
 	}
 	if fe.reorder != nil {
-		fe.reorder.Flush(fe.routeTimed)
+		fe.reorder.Flush(fe.route)
 	}
 	fe.flushAll()
-	if err := fe.waitQuiesce(ctx); err != nil {
+	if err := fe.ring.WaitEmpty(ctx); err != nil {
 		return fmt.Errorf("cluster: drain abandoned: %w", err)
 	}
 	return fe.errLoad()
@@ -711,10 +496,10 @@ func (fe *Frontend) Close(ctx context.Context) (pimtree.RunStats, error) {
 	}
 	fe.closed = true
 	if fe.reorder != nil {
-		fe.reorder.Flush(fe.routeTimed)
+		fe.reorder.Flush(fe.route)
 	}
 	fe.flushAll()
-	werr := fe.waitQuiesce(ctx)
+	werr := fe.ring.WaitEmpty(ctx)
 	close(fe.pingStop)
 	<-fe.pingDone
 	fe.setMu.RLock()
@@ -727,10 +512,10 @@ func (fe *Frontend) Close(ctx context.Context) (pimtree.RunStats, error) {
 	for _, nd := range nodes {
 		<-nd.readerDone
 	}
-	fe.pull.close()
+	fe.pull.Close()
 	st := pimtree.RunStats{
-		Tuples:  int(fe.routed.Load()),
-		Matches: fe.matchesA.Load(),
+		Tuples:  fe.ring.Published(),
+		Matches: fe.ring.Matches(),
 		Elapsed: time.Since(fe.start),
 	}
 	st.Mtps = metrics.Mtps(st.Tuples, st.Elapsed)
@@ -748,8 +533,8 @@ func (fe *Frontend) Close(ctx context.Context) (pimtree.RunStats, error) {
 // Stats returns a live cluster snapshot. Safe from any goroutine.
 func (fe *Frontend) Stats() pimtree.RunStats {
 	st := pimtree.RunStats{
-		Tuples:  int(fe.routed.Load()),
-		Matches: fe.matchesA.Load(),
+		Tuples:  fe.ring.Published(),
+		Matches: fe.ring.Matches(),
 		Elapsed: time.Since(fe.start),
 	}
 	st.Mtps = metrics.Mtps(st.Tuples, st.Elapsed)
@@ -809,7 +594,7 @@ func (fe *Frontend) Tuning() pimtree.Tuning {
 		Mode:          fe.Mode(),
 		Shards:        nodes,
 		BatchSize:     fe.cfg.BatchSize,
-		QueueCapacity: fe.capN,
+		QueueCapacity: fe.cfg.Capacity,
 		Reshapes:      int(fe.epoch.Load()),
 	}
 }
@@ -837,79 +622,4 @@ func (fe *Frontend) GlobalFrontier() (frontier uint64, reported bool) {
 		first = false
 	}
 	return frontier, !first
-}
-
-// matchQueue is the unbounded FIFO behind the pull side — the same
-// armed/disarmed contract as the Engine's (see pimtree.Engine.Matches).
-type matchQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	armed  atomic.Bool
-	buf    []pimtree.Match
-	head   int
-	closed bool
-}
-
-func newMatchQueue() *matchQueue {
-	q := &matchQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *matchQueue) arm() {
-	if q.armed.Swap(true) {
-		return
-	}
-	q.mu.Lock()
-	q.buf = q.buf[:0]
-	q.head = 0
-	q.mu.Unlock()
-}
-
-func (q *matchQueue) disarm() {
-	q.armed.Store(false)
-	q.mu.Lock()
-	q.buf = q.buf[:0]
-	q.head = 0
-	q.mu.Unlock()
-}
-
-func (q *matchQueue) push(m pimtree.Match) {
-	if !q.armed.Load() {
-		return
-	}
-	q.mu.Lock()
-	q.buf = append(q.buf, m)
-	q.cond.Signal()
-	q.mu.Unlock()
-}
-
-func (q *matchQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-func (q *matchQueue) next() (pimtree.Match, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head >= len(q.buf) && !q.closed {
-		q.cond.Wait()
-	}
-	if q.head < len(q.buf) {
-		m := q.buf[q.head]
-		q.head++
-		switch {
-		case q.head == len(q.buf):
-			q.buf = q.buf[:0]
-			q.head = 0
-		case q.head >= 1024 && q.head*2 >= len(q.buf):
-			n := copy(q.buf, q.buf[q.head:])
-			q.buf = q.buf[:n]
-			q.head = 0
-		}
-		return m, true
-	}
-	return pimtree.Match{}, false
 }

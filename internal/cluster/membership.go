@@ -53,7 +53,7 @@ func (fe *Frontend) AddNode(addr string) error {
 		}
 	}
 	fe.flushAll()
-	if err := fe.waitQuiesce(context.Background()); err != nil {
+	if err := fe.ring.WaitEmpty(context.Background()); err != nil {
 		nd.leaving.Store(true)
 		nd.mc.Close()
 		return err
@@ -87,7 +87,7 @@ func (fe *Frontend) RemoveNode(ref string) error {
 		return errors.New("cluster: cannot remove the last node")
 	}
 	fe.flushAll()
-	if err := fe.waitQuiesce(context.Background()); err != nil {
+	if err := fe.ring.WaitEmpty(context.Background()); err != nil {
 		return err
 	}
 	newList := make([]*node, 0, len(fe.nodes)-1)
@@ -139,9 +139,7 @@ func (fe *Frontend) rebalanceEpoch(newList []*node) error {
 	}
 	// The ring is quiesced, so the per-slot bucket rows can be resized to
 	// the new maximum fan-out width in place.
-	for i := range fe.results {
-		fe.results[i] = make([][]uint64, len(newList))
-	}
+	fe.ring.Resize(fe.cfg.Capacity, len(newList))
 	fe.setMu.Unlock()
 	fe.epoch.Add(1)
 	fe.cfg.Logf("cluster: membership epoch %d: %d nodes", fe.epoch.Load(), len(newList))

@@ -154,12 +154,9 @@ func (n *node) reader() {
 				}
 				// The decoded seqs are freshly allocated per group (see
 				// decodeResults), so the bucket can retain them directly.
-				n.fe.results[e.slot][e.bucket] = r.Seqs
-				if n.fe.state[e.slot].pending.Add(-1) == 0 {
-					n.fe.state[e.slot].completed.Store(true)
-				}
+				n.fe.ring.Complete(int(e.slot), int(e.bucket), r.Seqs)
 			}
-			n.fe.propagate()
+			n.fe.ring.Propagate()
 		case server.FrameNodeStatus:
 			n.stMu.Lock()
 			n.status = ev.Status
@@ -210,15 +207,12 @@ func (fe *Frontend) nodeDown(n *node, cause error) {
 		n.ohead = 0
 		n.omu.Unlock()
 		for _, e := range owed {
-			fe.results[e.slot][e.bucket] = nil
-			if fe.state[e.slot].pending.Add(-1) == 0 {
-				fe.state[e.slot].completed.Store(true)
-			}
+			fe.ring.Complete(int(e.slot), int(e.bucket), nil)
 		}
 		if len(owed) > 0 {
 			fe.sheds.Add(uint64(len(owed)))
 		}
-		fe.propagate()
+		fe.ring.Propagate()
 		if n.leaving.Load() {
 			fe.cfg.Logf("cluster: node %s (%s) left", n.id, n.addr)
 			return

@@ -111,10 +111,6 @@ func (k IndexKind) String() string {
 	}
 }
 
-// opposite returns the other stream id for two-way joins.
-func opposite(s uint8) uint8 {
-	if s == stream.StreamR {
-		return stream.StreamS
-	}
-	return stream.StreamR
-}
+// opposite is stream.Opposite under the name the shared-index runtimes
+// (shared.go, sharedtime.go) call it by.
+func opposite(s uint8) uint8 { return stream.Opposite(s) }

@@ -159,7 +159,7 @@ func RunRR(arrivals []stream.Arrival, cfg RRConfig) Stats {
 		// bound — the tl snapshot of Section 4.1 in serialized form).
 		for i, a := range round {
 			tupleSeqs[i] = seqs[a.Stream]
-			oppBounds[i] = seqs[opposite(a.Stream)]
+			oppBounds[i] = seqs[stream.Opposite(a.Stream)]
 			seqs[a.Stream]++
 		}
 		// Broadcast the round to every core (the handshake chain's
@@ -171,7 +171,7 @@ func RunRR(arrivals []stream.Arrival, cfg RRConfig) Stats {
 				c := rcs[ci]
 				mine := partial[ci]
 				for i, a := range round {
-					opp := opposite(a.Stream)
+					opp := stream.Opposite(a.Stream)
 					mine[i] = c.search(opp, cfg.Band, a.Key, oppBounds[i], wlen[opp])
 					// Round-robin ownership by global arrival position.
 					if (base+i)%cores == ci {

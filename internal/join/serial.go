@@ -57,7 +57,7 @@ func NLWJ(arrivals []stream.Arrival, cfg SerialConfig) Stats {
 	start := time.Now()
 	for _, a := range arrivals {
 		own := rings[a.Stream]
-		opp := rings[opposite(a.Stream)]
+		opp := rings[stream.Opposite(a.Stream)]
 		if cfg.Self {
 			opp = own
 		}
@@ -244,7 +244,7 @@ func StepCosts(arrivals []stream.Arrival, cfg SerialConfig) *metrics.StepTimer {
 	st := &metrics.StepTimer{}
 	for _, a := range arrivals {
 		own, ownIdx := rings[a.Stream], idxs[a.Stream]
-		oppID := opposite(a.Stream)
+		oppID := stream.Opposite(a.Stream)
 		if cfg.Self {
 			oppID = a.Stream
 		}
@@ -316,7 +316,7 @@ func IBWJTime(arrivals []stream.Arrival, span uint64, tickPerArrival uint64, ban
 	for i, a := range arrivals {
 		ts := uint64(i) * tickPerArrival
 		ownID := a.Stream
-		oppID := opposite(a.Stream)
+		oppID := stream.Opposite(a.Stream)
 		own, opp := rings[ownID], rings[oppID]
 		ownIdx, oppIdx := idxs[ownID], idxs[oppID]
 

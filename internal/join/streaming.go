@@ -67,7 +67,7 @@ func (s *Streaming) emitPairs(ps []kv.Pair) bool {
 // match before Push returns, preserving arrival order.
 func (s *Streaming) Push(a stream.Arrival) (matches int) {
 	own, ownIdx := s.rings[a.Stream], s.idxs[a.Stream]
-	oppID := opposite(a.Stream)
+	oppID := stream.Opposite(a.Stream)
 	if s.cfg.Self {
 		oppID = a.Stream
 	}

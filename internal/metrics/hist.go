@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math/bits"
-	"time"
-)
+import "math/bits"
 
 // Histogram is an HDR-style log-bucketed latency histogram: values are
 // non-negative int64 nanoseconds, bucketed exactly below histSubCount and
@@ -74,9 +71,6 @@ func (h *Histogram) Record(v int64) {
 	h.count++
 	h.sum += v
 }
-
-// RecordDuration records a duration observation in nanoseconds.
-func (h *Histogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
 
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.count }

@@ -254,12 +254,3 @@ func (c *Client) DrainWait() ([]pimtree.Match, error) {
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.nc.Close() }
-
-// CloseWrite half-closes the connection: no more ingest, but a subscriber
-// keeps receiving matches until the server closes the stream.
-func (c *Client) CloseWrite() error {
-	if tc, ok := c.nc.(*net.TCPConn); ok {
-		return tc.CloseWrite()
-	}
-	return errors.New("transport does not support half-close")
-}

@@ -39,10 +39,11 @@ func (r *Router) reorderFloor() uint64 {
 // snapshot epoch once SnapshotEvery arrivals have been routed since the last
 // one.
 func (r *Router) maybeWALSnapshot() {
-	if r.cfg.SnapshotEvery <= 0 || r.n-r.lastSnap < r.cfg.SnapshotEvery {
+	n := r.ring.Admitted()
+	if r.cfg.SnapshotEvery <= 0 || n-r.lastSnap < r.cfg.SnapshotEvery {
 		return
 	}
-	r.lastSnap = r.n
+	r.lastSnap = n
 	r.walSnapshot()
 }
 
@@ -53,8 +54,8 @@ func (r *Router) maybeWALSnapshot() {
 // workers are parked at their channel receive, so the router may read engine
 // stores and touch worker lanes; the next batch send publishes everything.
 func (r *Router) walSnapshot() {
-	r.drainBarrier()
-	for _, l := range r.lanes {
+	r.x.drainBarrier()
+	for _, l := range r.x.lanes {
 		l.Rotate()
 	}
 	r.metaLane.Rotate()
@@ -67,10 +68,10 @@ func (r *Router) walSnapshot() {
 }
 
 // walState captures the live window at a drain barrier: the sequence heads,
-// the per-slot eviction frontiers (the same computation reshard uses for its
-// migration watermarks), the reorder clock, and every live tuple.
+// the per-slot eviction frontiers (the ones reshard migrates under), the
+// reorder clock, and every live tuple.
 func (r *Router) walState() *wal.State {
-	st := &wal.State{Timed: r.cfg.Timed, Heads: r.heads}
+	st := &wal.State{Timed: r.cfg.Timed, Heads: r.seq.heads, WMs: r.frontiers()}
 	if r.reorder != nil {
 		st.MaxTS = r.reorder.MaxTS()
 		st.Floor = r.reorder.Watermark()
@@ -78,24 +79,11 @@ func (r *Router) walState() *wal.State {
 	slots := 2
 	if r.cfg.Self {
 		slots = 1
-	}
-	for slot := 0; slot < slots; slot++ {
-		if r.cfg.Timed {
-			for _, e := range r.engines {
-				if w := e.stores[slot].wm; w > st.WMs[slot] {
-					st.WMs[slot] = w
-				}
-			}
-		} else if r.heads[slot] > r.wlen[slot] {
-			st.WMs[slot] = r.heads[slot] - r.wlen[slot]
-		}
-	}
-	if r.cfg.Self {
 		st.WMs[1] = st.WMs[0]
 	}
 	for slot := 0; slot < slots; slot++ {
 		var live []migrant
-		for s, e := range r.engines {
+		for s, e := range r.x.engines {
 			live = e.extractLive(slot, st.WMs[slot], s, live)
 		}
 		for _, m := range live {
@@ -118,7 +106,7 @@ func (r *Router) Restore(st *wal.State) {
 	if st == nil {
 		return
 	}
-	r.heads = st.Heads
+	r.seq.heads = st.Heads
 	if r.reorder != nil {
 		r.reorder.Seed(st.MaxTS, st.Floor)
 	}
@@ -127,7 +115,7 @@ func (r *Router) Restore(st *wal.State) {
 		slots = 1
 	}
 	for slot := 0; slot < slots; slot++ {
-		for _, e := range r.engines {
+		for _, e := range r.x.engines {
 			if st.WMs[slot] > e.stores[slot].wm {
 				e.stores[slot].wm = st.WMs[slot]
 			}
@@ -136,11 +124,11 @@ func (r *Router) Restore(st *wal.State) {
 	// st.Tuples is globally seq-sorted, so each slot's subsequence is too —
 	// the order the store rings require.
 	for _, t := range st.Tuples {
-		slot := int(r.sid(t.Stream))
-		e := r.engines[r.clampShard(r.part.ShardOf(t.Key))]
+		slot := int(r.seq.Slot(t.Stream))
+		e := r.x.engines[r.x.clamp(r.part.ShardOf(t.Key))]
 		e.adopt(slot, migrant{key: t.Key, seq: t.Seq, ts: t.TS})
 	}
-	for _, e := range r.engines {
+	for _, e := range r.x.engines {
 		e.updateResident(r.cfg.Self)
 	}
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"pimtree/internal/join"
@@ -65,12 +64,11 @@ type MemberConfig struct {
 const defaultMemberCapacity = 1 << 12
 
 // Member applies cluster-shipped ops against local sub-shard engines and
-// emits probe results through a callback. It reuses the Router's proven
-// mechanics one level down: per-shard FIFO worker channels (ops are applied
-// in shipment order), a drain barrier for quiescence, an in-flight ring with
-// per-probe fan-out counters, and an order-preserving merge stage that emits
-// each probe's buckets in local shard order — which is key-range order, so
-// the concatenation across nodes at the router remains deterministic.
+// emits probe results through a callback: an executor fed by Apply instead
+// of a Sequencer. Ops reach the per-shard FIFO worker channels in shipment
+// order, the drain barrier gives quiescence, and the Ring emits each probe's
+// buckets in local shard order — which is key-range order, so the
+// concatenation across nodes at the router remains deterministic.
 //
 // Apply, Quiesce, ExportRange, Import, and Close must all be called from one
 // dispatching goroutine (the member connection's reader). The result
@@ -79,42 +77,20 @@ type Member struct {
 	cfg  MemberConfig
 	ecfg Config // engine-shaping subset passed to newEngine/resetSlot
 	part Partitioner
-
-	engines []*engine
-	chans   []chan []op
-	free    []chan []op
-	pend    []pendingBatch
-	wg      sync.WaitGroup
-	barrier sync.WaitGroup
-
-	// onResult receives each completed probe's matched sequences, bucketed
-	// by local shard in shard order. The bucket slices are recycled ring
-	// storage, valid only during the call — the callback must consume (copy
-	// or encode) them before returning.
-	onResult func(idx uint64, buckets [][]uint64)
-
-	// In-flight probe ring, mirroring Router's: slot i%capN tracks probe
-	// number i (member-local ordinal; the router's Idx is carried per slot).
-	capN     int
-	n        int // probe ops admitted so far (single dispatcher)
-	admitted atomic.Int64
-	rids     []uint64 // router correlation id per slot
-	results  [][][]uint64
-	nbuck    []int32
-	state    []probeState
-	propHead atomic.Int64
-	propLock atomic.Bool
-
-	bpMu      sync.Mutex
-	bpCond    *sync.Cond
-	bpWaiters atomic.Int32
+	x    executor
+	// ring tracks member-local probe ordinals; each slot's tag is the
+	// router's correlation id.
+	ring *Ring
 
 	applied atomic.Uint64 // ops dispatched to workers
 	evictWM atomic.Uint64 // max insert watermark seen (seq, or minTS timed)
 }
 
 // NewMember builds a member runtime and starts its local shard workers.
-// onResult must be non-nil; see Member for its contract.
+// onResult must be non-nil. It receives each completed probe's matched
+// sequences, bucketed by local shard in shard order; the bucket slices are
+// recycled ring storage, valid only during the call, so the callback must
+// consume (copy or encode) them before returning.
 func NewMember(cfg MemberConfig, onResult func(idx uint64, buckets [][]uint64)) *Member {
 	if cfg.Timed {
 		if cfg.MaxLive <= 0 {
@@ -147,80 +123,21 @@ func NewMember(cfg MemberConfig, onResult func(idx uint64, buckets [][]uint64)) 
 			WR: cfg.WR, WS: cfg.WS, Self: cfg.Self,
 			Timed: cfg.Timed, Index: cfg.Index,
 		},
-		part:     NewRangePartitioner(k),
-		engines:  make([]*engine, k),
-		chans:    make([]chan []op, k),
-		free:     make([]chan []op, k),
-		pend:     make([]pendingBatch, k),
-		onResult: onResult,
-		capN:     cfg.Capacity,
-		rids:     make([]uint64, cfg.Capacity),
-		results:  make([][][]uint64, cfg.Capacity),
-		nbuck:    make([]int32, cfg.Capacity),
-		state:    make([]probeState, cfg.Capacity),
+		part: NewRangePartitioner(k),
 	}
-	for i := range m.results {
-		m.results[i] = make([][]uint64, k)
-	}
-	m.bpCond = sync.NewCond(&m.bpMu)
-	for i := range m.pend {
-		m.pend[i].first = -1
-	}
-	for s := 0; s < k; s++ {
-		m.engines[s] = newEngine(m.ecfg)
-		m.chans[s] = make(chan []op, shardChanCap)
-		m.free[s] = make(chan []op, freeChanCap)
-		m.wg.Add(1)
-		go m.worker(s)
-	}
+	m.ring = NewRing(cfg.Capacity, k, func(_ uint8, rid uint64, buckets [][]uint64) {
+		onResult(rid, buckets)
+	}, m.x.flushAll)
+	m.x.ring, m.x.self, m.x.batch = m.ring, cfg.Self, cfg.BatchSize
+	m.x.start(newEngines(m.ecfg, k))
 	return m
-}
-
-// clamp keeps a partitioner result inside the local engine array.
-func (m *Member) clamp(s int) int {
-	if s < 0 {
-		return 0
-	}
-	if s >= len(m.engines) {
-		return len(m.engines) - 1
-	}
-	return s
-}
-
-// sid folds a stream id onto its store slot (self-joins use slot 0 only).
-func (m *Member) sid(s uint8) uint8 {
-	if m.cfg.Self {
-		return 0
-	}
-	return s
-}
-
-// admit claims the ring slot for the next probe op, blocking while the ring
-// is full (pending batches are flushed first — the results the merge stage
-// is waiting on may still be buffered here). Backpressure propagates to the
-// router through the connection's TCP window.
-func (m *Member) admit() int {
-	if m.n-int(m.propHead.Load()) >= m.capN {
-		for s := range m.pend {
-			m.flush(s)
-		}
-		m.bpMu.Lock()
-		m.bpWaiters.Add(1)
-		for m.n-int(m.propHead.Load()) >= m.capN {
-			m.bpCond.Wait()
-		}
-		m.bpWaiters.Add(-1)
-		m.bpMu.Unlock()
-	}
-	slot := m.n % m.capN
-	m.state[slot].completed.Store(false)
-	return slot
 }
 
 // Apply dispatches one shipped op batch to the local shards, in order. Every
 // pending local batch is flushed before returning — an incoming Ops frame is
 // the natural batching unit, so no op ever lingers waiting for a horizon.
-// May block on ring backpressure.
+// May block on ring backpressure, which propagates to the router through the
+// connection's TCP window.
 func (m *Member) Apply(ops []Op) {
 	for i := range ops {
 		o := &ops[i]
@@ -228,126 +145,25 @@ func (m *Member) Apply(ops []Op) {
 			if o.TE > m.evictWM.Load() {
 				m.evictWM.Store(o.TE)
 			}
-			owner := m.clamp(m.part.ShardOf(o.Key))
-			m.enqueue(owner, op{
-				kind: opInsert, stream: m.sid(o.Stream),
+			m.x.enqueue(m.x.clamp(m.part.ShardOf(o.Key)), op{
+				kind: opInsert, stream: storeSlot(m.cfg.Self, o.Stream),
 				key: o.Key, seq: o.Seq, te: o.TE, ts: o.TS,
 			})
 			continue
 		}
-		slot := m.admit()
-		s1 := m.clamp(m.part.ShardOf(o.Lo))
-		s2 := m.clamp(m.part.ShardOf(o.Hi))
-		m.rids[slot] = o.Idx
-		m.nbuck[slot] = int32(s2 - s1 + 1)
-		m.state[slot].pending.Store(int32(s2 - s1 + 1))
+		s1 := m.x.clamp(m.part.ShardOf(o.Lo))
+		s2 := m.x.clamp(m.part.ShardOf(o.Hi))
+		idx, _ := m.ring.Admit(0, o.Idx, s2-s1+1)
 		for s := s1; s <= s2; s++ {
-			m.enqueue(s, op{
-				kind: opProbe, stream: m.sid(o.Stream), lo: o.Lo, hi: o.Hi,
-				te: o.TE, tl: o.TL, idx: m.n, bucket: s - s1,
+			m.x.enqueue(s, op{
+				kind: opProbe, stream: storeSlot(m.cfg.Self, o.Stream), lo: o.Lo, hi: o.Hi,
+				te: o.TE, tl: o.TL, idx: idx, bucket: s - s1,
 			})
 		}
-		m.n++
-		m.admitted.Store(int64(m.n))
+		m.ring.Publish()
 	}
 	m.applied.Add(uint64(len(ops)))
-	for s := range m.pend {
-		m.flush(s)
-	}
-}
-
-// enqueue appends an op to a local shard's pending batch, flushing on size.
-func (m *Member) enqueue(s int, o op) {
-	p := &m.pend[s]
-	if p.first < 0 {
-		p.first = m.n
-		if p.ops == nil {
-			select {
-			case b := <-m.free[s]:
-				p.ops = b[:0]
-			default:
-				p.ops = make([]op, 0, m.cfg.BatchSize)
-			}
-		}
-	}
-	p.ops = append(p.ops, o)
-	if len(p.ops) >= m.cfg.BatchSize {
-		m.flush(s)
-	}
-}
-
-func (m *Member) flush(s int) {
-	p := &m.pend[s]
-	if len(p.ops) == 0 {
-		return
-	}
-	m.chans[s] <- p.ops
-	p.ops = nil
-	p.first = -1
-}
-
-// worker is one local shard's goroutine — Router.worker one level down.
-func (m *Member) worker(s int) {
-	defer m.wg.Done()
-	e := m.engines[s]
-	for batch := range m.chans[s] {
-		if batch == nil {
-			m.barrier.Done()
-			continue
-		}
-		for j := range batch {
-			o := &batch[j]
-			if o.kind == opInsert {
-				e.insert(o)
-				continue
-			}
-			slot := o.idx % m.capN
-			m.results[slot][o.bucket] = e.probe(o, m.results[slot][o.bucket])
-			if m.state[slot].pending.Add(-1) == 0 {
-				m.state[slot].completed.Store(true)
-			}
-		}
-		e.maintain(m.cfg.Self)
-		e.updateResident(m.cfg.Self)
-		select {
-		case m.free[s] <- batch[:0]:
-		default:
-		}
-		m.propagate()
-	}
-}
-
-// propagate emits completed probes at the ring head, in admission order
-// (Router.propagate's try-lock pattern; see there for the memory-model
-// argument). Buckets are handed to onResult in local shard order.
-func (m *Member) propagate() {
-	for {
-		if !m.propLock.CompareAndSwap(false, true) {
-			return
-		}
-		admitted := int(m.admitted.Load())
-		head := int(m.propHead.Load())
-		advanced := false
-		for head < admitted && m.state[head%m.capN].completed.Load() {
-			h := head % m.capN
-			m.onResult(m.rids[h], m.results[h][:m.nbuck[h]])
-			head++
-			advanced = true
-		}
-		if advanced {
-			m.propHead.Store(int64(head))
-		}
-		m.propLock.Store(false)
-		if advanced && m.bpWaiters.Load() > 0 {
-			m.bpMu.Lock()
-			m.bpCond.Broadcast()
-			m.bpMu.Unlock()
-		}
-		admitted = int(m.admitted.Load())
-		if head >= admitted || !m.state[head%m.capN].completed.Load() {
-			return
-		}
-	}
+	m.x.flushAll()
 }
 
 // Quiesce flushes every pending batch and blocks until all shipped ops have
@@ -355,15 +171,8 @@ func (m *Member) propagate() {
 // drain barrier). On return the engines may be mutated from the dispatching
 // goroutine (export/import).
 func (m *Member) Quiesce() {
-	for s := range m.pend {
-		m.flush(s)
-	}
-	m.barrier.Add(len(m.chans))
-	for _, ch := range m.chans {
-		ch <- nil
-	}
-	m.barrier.Wait()
-	m.propagate()
+	m.x.drainBarrier()
+	m.ring.Propagate()
 }
 
 // slots returns the store slots a member iterates for handoff: slot 0 only
@@ -384,7 +193,7 @@ func (m *Member) slots() int {
 func (m *Member) ExportRange(lo, hi uint32) []WindowTuple {
 	m.Quiesce()
 	var out []WindowTuple
-	for _, e := range m.engines {
+	for _, e := range m.x.engines {
 		for slot := 0; slot < m.slots(); slot++ {
 			st := e.stores[slot]
 			live := e.extractLive(slot, st.wm, 0, nil)
@@ -426,11 +235,11 @@ func (m *Member) Import(tuples []WindowTuple) {
 	type dest struct{ eng, slot int }
 	byDest := make(map[dest][]migrant)
 	for _, t := range tuples {
-		d := dest{m.clamp(m.part.ShardOf(t.Key)), int(m.sid(t.Stream))}
+		d := dest{m.x.clamp(m.part.ShardOf(t.Key)), int(storeSlot(m.cfg.Self, t.Stream))}
 		byDest[d] = append(byDest[d], migrant{key: t.Key, seq: t.Seq, ts: t.TS})
 	}
 	for d, imps := range byDest {
-		e := m.engines[d.eng]
+		e := m.x.engines[d.eng]
 		st := e.stores[d.slot]
 		merged := e.extractLive(d.slot, st.wm, 0, nil)
 		merged = append(merged, imps...)
@@ -451,7 +260,7 @@ func (m *Member) Import(tuples []WindowTuple) {
 // streams). Safe from any goroutine.
 func (m *Member) Resident() int {
 	n := int64(0)
-	for _, e := range m.engines {
+	for _, e := range m.x.engines {
 		n += e.resident.Load()
 	}
 	return int(n)
@@ -466,17 +275,8 @@ func (m *Member) Applied() uint64 { return m.applied.Load() }
 func (m *Member) EvictWM() uint64 { return m.evictWM.Load() }
 
 // Shards reports the local sub-shard count.
-func (m *Member) Shards() int { return len(m.engines) }
+func (m *Member) Shards() int { return len(m.x.engines) }
 
 // Close stops the local workers after applying everything dispatched.
 // The member must not be used afterwards.
-func (m *Member) Close() {
-	for s := range m.pend {
-		m.flush(s)
-	}
-	for _, ch := range m.chans {
-		close(ch)
-	}
-	m.wg.Wait()
-	m.propagate()
-}
+func (m *Member) Close() { m.x.close() }

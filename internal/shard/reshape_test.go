@@ -134,8 +134,8 @@ func TestReshapeBatchAndCapacitySwap(t *testing.T) {
 	for i, a := range arr {
 		if i == n/3 {
 			r.Reshape(Reshape{BatchSize: 3, Capacity: 256})
-			if r.capN != 256 {
-				t.Fatalf("capacity swap did not take: capN=%d", r.capN)
+			if r.ring.Capacity() != 256 {
+				t.Fatalf("capacity swap did not take: capN=%d", r.ring.Capacity())
 			}
 			if r.cfg.BatchSize != 3 {
 				t.Fatalf("batch swap did not take: %d", r.cfg.BatchSize)

@@ -26,7 +26,6 @@ import (
 
 	"pimtree/internal/core"
 	"pimtree/internal/join"
-	"pimtree/internal/metrics"
 	"pimtree/internal/ooo"
 	"pimtree/internal/stream"
 	"pimtree/internal/wal"
@@ -94,98 +93,32 @@ type Config struct {
 	SnapshotEvery int
 }
 
-// probeState tracks one arrival's completion across its fan-out shards,
-// padded to a cache line: shards completing adjacent arrivals would
-// otherwise false-share.
-type probeState struct {
-	pending   atomic.Int32
-	completed atomic.Bool
-	_         [64 - 5]byte
-}
-
-// pendingBatch is one shard's accumulating op buffer.
-type pendingBatch struct {
-	ops   []op
-	first int // arrival index of the oldest buffered op (-1 when empty)
-}
-
 // defaultRouterCapacity sizes the in-flight ring when the caller does not.
 const defaultRouterCapacity = 1 << 14
 
-// Per-shard channel capacities, shared by construction and reshape: the op
-// channel holds 4 batches (plus one pending in the router and one in the
-// worker), and the free list holds that set with headroom so steady-state
-// batch recycling is a closed loop.
-const (
-	shardChanCap = 4
-	freeChanCap  = 8
-)
-
-// Router is the front end of the sharded runtime. Push routes arrivals;
-// Drain quiesces the shards mid-session; Close drains them and returns the
-// run's statistics. Push, Drain, and Close must be called from one
-// goroutine; match propagation to the sink happens concurrently on shard
-// goroutines but always in global arrival order.
+// Router is the front end of the sharded runtime: a Sequencer that numbers
+// arrivals and captures their windows, an executor that applies the routed
+// ops on one worker per shard, and a Ring that re-sequences the per-shard
+// results — plus the WAL and the adaptive rebalancing layer. Push routes
+// arrivals; Drain quiesces the shards mid-session; Close drains them and
+// returns the run's statistics. Push, Drain, and Close must be called from
+// one goroutine; match propagation to the sink happens concurrently on
+// shard goroutines but always in global arrival order.
 //
-// A Router holds per-arrival completion state in a ring of capacity slots
-// (the session's in-flight bound): pushing more than capacity arrivals
-// ahead of the ordered-propagation frontier flushes the pending batches and
-// blocks until the merge stage catches up — the runtime's backpressure.
+// The ring's capacity is the session's in-flight bound: pushing more than
+// capacity arrivals ahead of the ordered-propagation frontier flushes the
+// pending batches and blocks until the merge stage catches up — the
+// runtime's backpressure.
 type Router struct {
-	cfg     Config
-	part    Partitioner
-	engines []*engine
-	chans   []chan []op
-	pend    []pendingBatch
-	wg      sync.WaitGroup
+	cfg  Config
+	part Partitioner
+	seq  Sequencer
+	x    executor
+	ring *Ring
 
-	heads [2]uint64 // per-stream global sequence counters
-	wlen  [2]uint64
-	n     int // arrivals routed so far
-	capN  int // in-flight ring capacity
-
-	// Per-arrival completion records shared with shard workers, ring-indexed
-	// by arrival position modulo capN. Each slot's bucket row is allocated
-	// once at construction (one bucket per shard) and the bucket slices are
-	// recycled across ring tenants; nbuck bounds the row to the arrival's
-	// actual fan-out, so the steady-state probe path never allocates.
-	probeStream []uint8
-	probeSeq    []uint64
-	results     [][][]uint64 // [slot][fanout bucket][match seqs]
-	nbuck       []int32      // buckets in use per slot (set at routing)
-	state       []probeState
-	routed      atomic.Int64 // arrivals fully published (workers read)
-
-	// free recycles op batch slices per shard: workers return consumed
-	// batches, the router reuses them in enqueue. Buffered beyond the shard
-	// channel capacity plus the batches in flight (pending + in-worker), so
-	// in steady state the set of circulating slices is closed — no drops on
-	// return, no allocations in enqueue.
-	free []chan []op
-
-	// Ordered propagation (same try-lock protocol as the shared runtime).
-	// propHead is the retire frontier the router consults for slot reuse;
-	// matchesA mirrors matches for readers. Readers must never contend on
-	// propLock: a propagate pass that loses its retry CAS to a pure reader
-	// would strand a completed head, because only propagators re-check the
-	// head after releasing.
-	propLock atomic.Bool
-	propHead atomic.Int64
-	matches  uint64
-	matchesA atomic.Uint64
-
-	// Backpressure handshake: the router waits on bpCond while the ring is
-	// full; the propagation holder broadcasts after advancing the frontier,
-	// but only when bpWaiters says the router is actually parked (the
-	// waiter increments before re-checking the frontier and propagate loads
-	// after storing it, so sequential consistency rules out a lost wakeup).
-	bpMu      sync.Mutex
-	bpCond    *sync.Cond
-	bpWaiters atomic.Int32
-
-	// Flush accounting, readable after Close (or between Pushes) for tests
-	// and diagnostics.
-	sizeFlushes    int
+	// horizonFlushes counts batches shipped by the flush horizon (the
+	// executor counts size flushes), readable after Close (or between
+	// Pushes) for tests and diagnostics.
 	horizonFlushes int
 	// probeRouted counts probe ops enqueued per shard (router-goroutine
 	// only) — the observable for fan-out tests and skew diagnostics.
@@ -199,21 +132,16 @@ type Router struct {
 	sample  *keyRing
 	reb     *rebalancer
 	pol     Policy
-	barrier sync.WaitGroup
 	lastReb int          // arrival index of the last rebalance epoch
 	epochs  atomic.Int64 // completed rebalance epochs (read live by Stats scrapers)
 	moved   atomic.Int64 // tuples that changed shards across all epochs
 
-	// qhw is the per-shard queue-depth high-water mark, observed by the
-	// router at every batch handoff (single writer) and read live by load
-	// scrapers. Reshapes that change the shard count start fresh marks.
-	qhw []metrics.PaddedCounter
-
-	// snapMu guards the identity of the per-shard slices (engines, chans,
-	// stats, qhw) across reshape epochs: LoadSnapshot readers take the read
-	// side from arbitrary goroutines while reshard swaps the slices under
-	// the write side. The router's own accesses need no lock — Reshape runs
-	// on the producer-serialized path, like every other mutation.
+	// snapMu guards the identity of the per-shard slices (the executor's
+	// engines, chans and qhw, and stats) across reshape epochs: LoadSnapshot
+	// readers take the read side from arbitrary goroutines while reshard
+	// swaps the slices under the write side. The router's own accesses need
+	// no lock — Reshape runs on the producer-serialized path, like every
+	// other mutation.
 	snapMu   sync.RWMutex
 	reshapes atomic.Int64 // applied reshape epochs (read live by Tuning scrapers)
 
@@ -226,13 +154,11 @@ type Router struct {
 	// count windows.
 	reorder *ooo.Reorderer
 
-	// Durability state (nil/zero when cfg.WAL is nil). lanes is parallel to
-	// engines: each worker appends to its own lane, so the hot path never
-	// locks; the router only touches lanes while the workers are parked at a
-	// drain barrier (rotate, sync, seal). metaLane carries the router's
-	// watermark records. lastSnap is the arrival index of the last snapshot
-	// epoch.
-	lanes    []*wal.Lane
+	// Durability state (nil/zero when cfg.WAL is nil). The shard lanes live
+	// in the executor; the router only touches them while the workers are
+	// parked at a drain barrier (rotate, sync, seal). metaLane carries the
+	// router's watermark records. lastSnap is the arrival index of the last
+	// snapshot epoch.
 	metaLane *wal.Lane
 	lastSnap int
 }
@@ -241,6 +167,7 @@ type Router struct {
 // arrivals (<= 0 selects a default) and starts one worker goroutine per
 // shard.
 func NewRouter(cfg Config, capacity int) *Router {
+	var span uint64
 	if cfg.Timed {
 		if cfg.Span == 0 {
 			panic("shard: Span must be positive in timed mode")
@@ -254,6 +181,7 @@ func NewRouter(cfg Config, capacity int) *Router {
 		// MaxLive plays the window-length role everywhere a count window
 		// would be consulted: store/index sizing and the flush horizon.
 		cfg.WR, cfg.WS = cfg.MaxLive, cfg.MaxLive
+		span = cfg.Span
 	}
 	if cfg.WR <= 0 {
 		panic("shard: WR must be positive")
@@ -287,24 +215,15 @@ func NewRouter(cfg Config, capacity int) *Router {
 	r := &Router{
 		cfg:         cfg,
 		part:        cfg.Part,
-		engines:     make([]*engine, k),
-		chans:       make([]chan []op, k),
-		pend:        make([]pendingBatch, k),
-		wlen:        [2]uint64{uint64(cfg.WR), uint64(cfg.WS)},
-		capN:        capacity,
-		probeStream: make([]uint8, capacity),
-		probeSeq:    make([]uint64, capacity),
-		results:     make([][][]uint64, capacity),
-		nbuck:       make([]int32, capacity),
-		state:       make([]probeState, capacity),
+		seq:         NewSequencer(cfg.WR, cfg.WS, cfg.Self, span),
 		probeRouted: make([]int, k),
-		free:        make([]chan []op, k),
-		qhw:         make([]metrics.PaddedCounter, k),
 	}
-	for i := range r.results {
-		r.results[i] = make([][]uint64, k)
+	var emit func(uint8, uint64, [][]uint64)
+	if cfg.Sink != nil {
+		emit = r.emit
 	}
-	r.bpCond = sync.NewCond(&r.bpMu)
+	r.ring = NewRing(capacity, k, emit, r.x.flushAll)
+	r.x.ring, r.x.self, r.x.batch = r.ring, cfg.Self, cfg.BatchSize
 	if cfg.Adaptive {
 		// Load accounting only exists when something reads it: the
 		// counters are atomic (monitor goroutine) and sit on the routing
@@ -322,122 +241,27 @@ func NewRouter(cfg Config, capacity int) *Router {
 	if cfg.Timed {
 		r.reorder = ooo.New(cfg.Slack, cfg.Late, cfg.OnLate)
 	}
-	for i := range r.pend {
-		r.pend[i].first = -1
-	}
-	r.lanes = make([]*wal.Lane, k)
 	if cfg.WAL != nil {
 		r.metaLane = cfg.WAL.NewLane()
 	}
-	for s := 0; s < k; s++ {
-		r.engines[s] = newEngine(cfg)
-		if cfg.WAL != nil {
-			r.lanes[s] = cfg.WAL.NewLane()
-		}
-		r.chans[s] = make(chan []op, shardChanCap)
-		// Channel capacity + one pending in the router + one in the worker,
-		// with headroom: after warmup every consumed batch finds a free slot.
-		r.free[s] = make(chan []op, freeChanCap)
-		r.wg.Add(1)
-		go r.worker(s)
-	}
+	r.x.start(newEngines(cfg, k))
 	return r
 }
 
-// sid folds a stream id onto its store slot (self-joins use slot 0 only).
-func (r *Router) sid(s uint8) uint8 {
-	if r.cfg.Self {
-		return 0
-	}
-	return s
-}
-
-// clampShard keeps a partitioner result inside the shard array.
-func (r *Router) clampShard(s int) int {
-	if s < 0 {
-		return 0
-	}
-	if s >= len(r.engines) {
-		return len(r.engines) - 1
-	}
-	return s
-}
-
-// admit claims the in-flight ring slot for the next arrival, applying
-// backpressure: when the ring is full it flushes every pending batch (the
-// ops the merge stage is waiting on may still be buffered here) and blocks
-// until the propagation frontier retires the slot's previous tenant.
-func (r *Router) admit() int {
-	if r.n-int(r.propHead.Load()) >= r.capN {
-		for s := range r.pend {
-			r.flush(s)
+// emit hands one retired arrival's matches to the sink, bucket by bucket.
+func (r *Router) emit(s uint8, probeSeq uint64, buckets [][]uint64) {
+	for _, bucket := range buckets {
+		for _, mseq := range bucket {
+			r.cfg.Sink(s, probeSeq, mseq)
 		}
-		r.bpMu.Lock()
-		r.bpWaiters.Add(1)
-		for r.n-int(r.propHead.Load()) >= r.capN {
-			r.bpCond.Wait()
-		}
-		r.bpWaiters.Add(-1)
-		r.bpMu.Unlock()
 	}
-	slot := r.n % r.capN
-	r.state[slot].completed.Store(false)
-	return slot
 }
 
 // Push routes one arrival: a probe op to every shard whose range intersects
 // the band interval, then an insert op to the key's owner shard. Blocks
 // while the in-flight ring is full.
 func (r *Router) Push(a stream.Arrival) {
-	i := r.n
-	slot := r.admit()
-	own := r.sid(a.Stream)
-	opp := own
-	if !r.cfg.Self {
-		opp = r.sid(opposite(a.Stream))
-	}
-
-	// Probe: window bounds captured at admission. tl excludes tuples routed
-	// after this arrival (including, for self-joins, the tuple itself).
-	tl := r.heads[opp]
-	te := uint64(0)
-	if tl > r.wlen[opp] {
-		te = tl - r.wlen[opp]
-	}
-	lo, hi := r.cfg.Band.Range(a.Key)
-	s1 := r.clampShard(r.part.ShardOf(lo))
-	s2 := r.clampShard(r.part.ShardOf(hi))
-	r.probeStream[slot] = a.Stream
-	r.probeSeq[slot] = r.heads[own]
-	r.nbuck[slot] = int32(s2 - s1 + 1)
-	r.state[slot].pending.Store(int32(s2 - s1 + 1))
-	for s := s1; s <= s2; s++ {
-		r.probeRouted[s]++
-		r.stats.probe(s)
-		r.enqueue(s, op{
-			kind: opProbe, stream: opp, lo: lo, hi: hi,
-			te: te, tl: tl, idx: i, bucket: s - s1,
-		})
-	}
-
-	// Insert: the owner shard stores and indexes the tuple; the watermark
-	// lets it evict everything its stream has globally expired.
-	seq := r.heads[own]
-	r.heads[own]++
-	wm := uint64(0)
-	if seq+1 > r.wlen[own] {
-		wm = seq + 1 - r.wlen[own]
-	}
-	owner := r.clampShard(r.part.ShardOf(a.Key))
-	r.stats.insert(owner)
-	r.sample.add(a.Key)
-	r.enqueue(owner, op{
-		kind: opInsert, stream: own, key: a.Key, seq: seq, te: wm,
-	})
-
-	r.n++
-	r.routed.Store(int64(r.n))
-	r.flushExpired()
+	r.route(ooo.Tuple{Stream: a.Stream, Key: a.Key})
 	if r.cfg.Adaptive {
 		r.maybeRebalance()
 	}
@@ -455,76 +279,85 @@ func (r *Router) PushTimed(s uint8, key uint32, ts uint64) {
 	if r.reorder == nil {
 		panic("shard: PushTimed on a count-window router")
 	}
-	r.reorder.Push(ooo.Tuple{Stream: s, Key: key, TS: ts}, r.routeTimed)
+	r.reorder.Push(ooo.Tuple{Stream: s, Key: key, TS: ts}, r.route)
 	if r.cfg.WAL != nil {
 		r.maybeWALSnapshot()
 	}
 }
 
-// routeTimed routes one watermark-released tuple: a probe op to every shard
-// whose range intersects the band interval, then an insert op to the key's
-// owner shard. Released timestamps are non-decreasing, which is what makes
-// the per-shard stores' ring eviction and the probes' seq < tl bound exact.
-func (r *Router) routeTimed(t ooo.Tuple) {
-	i := r.n
-	slot := r.admit()
-	own := r.sid(t.Stream)
-	opp := own
-	if !r.cfg.Self {
-		opp = r.sid(opposite(t.Stream))
-	}
-
-	// Probe: tl excludes tuples admitted after this one (including, for
-	// self-joins, the tuple itself); minTS is the oldest live event time
-	// relative to this tuple (now - ts < Span, as in the serial time join).
-	tl := r.heads[opp]
-	var minTS uint64
-	if t.TS >= r.cfg.Span {
-		minTS = t.TS - r.cfg.Span + 1
-	}
+// route routes one admitted arrival (TS is ignored for count windows): a
+// probe op to every shard whose range intersects the band interval, carrying
+// the window the Sequencer captured at admission, then an insert op with
+// its eviction watermark to the key's owner shard. Timed arrivals come
+// released by the reorder buffer in non-decreasing timestamp order, which
+// is what makes the per-shard stores' ring eviction and the probes' seq < tl
+// bound exact.
+func (r *Router) route(t ooo.Tuple) {
+	st := r.seq.Next(t.Stream, t.TS)
 	lo, hi := r.cfg.Band.Range(t.Key)
-	s1 := r.clampShard(r.part.ShardOf(lo))
-	s2 := r.clampShard(r.part.ShardOf(hi))
-	r.probeStream[slot] = t.Stream
-	r.probeSeq[slot] = r.heads[own]
-	r.nbuck[slot] = int32(s2 - s1 + 1)
-	r.state[slot].pending.Store(int32(s2 - s1 + 1))
+	s1 := r.x.clamp(r.part.ShardOf(lo))
+	s2 := r.x.clamp(r.part.ShardOf(hi))
+	idx, _ := r.ring.Admit(t.Stream, st.Seq, s2-s1+1)
 	for s := s1; s <= s2; s++ {
 		r.probeRouted[s]++
-		r.enqueue(s, op{
-			kind: opProbe, stream: opp, lo: lo, hi: hi,
-			te: minTS, tl: tl, idx: i, bucket: s - s1,
+		r.stats.probe(s)
+		r.x.enqueue(s, op{
+			kind: opProbe, stream: st.Probed, lo: lo, hi: hi,
+			te: st.TE, tl: st.TL, idx: idx, bucket: s - s1,
 		})
 	}
-
-	// Insert: the owner shard stores and indexes the tuple; minTS doubles as
-	// its eviction watermark (everything older than a span is globally
-	// expired, because admission order is timestamp order).
-	seq := r.heads[own]
-	r.heads[own]++
-	owner := r.clampShard(r.part.ShardOf(t.Key))
+	owner := r.x.clamp(r.part.ShardOf(t.Key))
 	r.stats.insert(owner)
 	r.sample.add(t.Key)
-	r.enqueue(owner, op{
-		kind: opInsert, stream: own, key: t.Key, seq: seq, te: minTS, ts: t.TS,
+	r.x.enqueue(owner, op{
+		kind: opInsert, stream: st.Own, key: t.Key, seq: st.Seq, te: st.WM, ts: t.TS,
 	})
-
-	r.n++
-	r.routed.Store(int64(r.n))
+	r.ring.Publish()
 	r.flushExpired()
+}
+
+// flushExpired flushes every shard whose oldest buffered op has aged past
+// the flush horizon (the batching analogue of window expiry: an op may not
+// linger while the window slides a full length past it).
+func (r *Router) flushExpired() {
+	n := r.ring.Admitted()
+	for s := range r.x.pend {
+		if f := r.x.pend[s].first; f >= 0 && n-f >= r.cfg.FlushHorizon {
+			r.horizonFlushes++
+			r.x.flush(s)
+		}
+	}
+}
+
+// frontiers returns the per-slot eviction frontiers of the live window: the
+// count-window frontier, or the highest timestamp watermark any store has
+// applied (timed mode — released timestamps are monotone, so it is the
+// global frontier).
+func (r *Router) frontiers() (wms [2]uint64) {
+	for slot := uint8(0); slot < 2; slot++ {
+		if !r.cfg.Timed {
+			wms[slot] = r.seq.Frontier(slot)
+			continue
+		}
+		for _, e := range r.x.engines {
+			wms[slot] = max(wms[slot], e.stores[slot].wm)
+		}
+	}
+	return wms
 }
 
 // maybeRebalance runs on the router goroutine after each Push: it honors a
 // deterministic ForceEvery schedule, or picks up the monitor's imbalance
 // request once the minimum epoch gap has passed.
 func (r *Router) maybeRebalance() {
+	n := r.ring.Admitted()
 	if r.pol.ForceEvery > 0 {
-		if r.n-r.lastReb >= r.pol.ForceEvery {
+		if n-r.lastReb >= r.pol.ForceEvery {
 			r.rebalance()
 		}
 		return
 	}
-	if r.reb.want.Load() && r.n-r.lastReb >= r.pol.MinGap {
+	if r.reb.want.Load() && n-r.lastReb >= r.pol.MinGap {
 		r.rebalance()
 		r.reb.want.Store(false)
 	}
@@ -537,8 +370,8 @@ func (r *Router) maybeRebalance() {
 // in flight during the migration and every probe routed afterwards fans out
 // under the same partitioner that owns the migrated tuples.
 func (r *Router) rebalance() {
-	r.lastReb = r.n
-	part, ok := boundsFromSample(r.sample.snapshot(), len(r.engines))
+	r.lastReb = r.ring.Admitted()
+	part, ok := boundsFromSample(r.sample.snapshot(), len(r.x.engines))
 	if !ok {
 		return
 	}
@@ -546,34 +379,11 @@ func (r *Router) rebalance() {
 		r.stats.reset()
 		return
 	}
-	r.drainBarrier()
-	wms := [2]uint64{}
-	for slot := 0; slot < 2; slot++ {
-		if r.heads[slot] > r.wlen[slot] {
-			wms[slot] = r.heads[slot] - r.wlen[slot]
-		}
-	}
-	r.moved.Add(int64(migrate(r.engines, r.engines, r.cfg, part, wms)))
+	r.x.drainBarrier()
+	r.moved.Add(int64(migrate(r.x.engines, r.x.engines, r.cfg, part, r.frontiers())))
 	r.part = part
 	r.epochs.Add(1)
 	r.stats.reset()
-}
-
-// drainBarrier flushes every pending batch, then sends each worker a nil
-// sentinel batch and waits for all of them to acknowledge it. Because shard
-// queues are FIFO, acknowledgement means every previously routed op has been
-// fully applied; the WaitGroup gives the router goroutine a happens-before
-// edge over the workers' engine writes, and the next channel send orders the
-// router's migration writes before anything the workers do next.
-func (r *Router) drainBarrier() {
-	for s := range r.pend {
-		r.flush(s)
-	}
-	r.barrier.Add(len(r.chans))
-	for _, ch := range r.chans {
-		ch <- nil
-	}
-	r.barrier.Wait()
 }
 
 // Reshape describes a live structural or parameter change applied by
@@ -615,44 +425,29 @@ func (r *Router) Reshape(q Reshape) {
 	if q.Policy != nil && r.cfg.Timed {
 		panic("shard: adaptive rebalancing is not supported in timed mode")
 	}
-	r.drainBarrier()
-	r.propagate()
-	if int(r.propHead.Load()) != r.n {
+	r.x.drainBarrier()
+	r.ring.Propagate()
+	if r.ring.inFlight() != 0 {
 		panic("shard: reshape barrier left the in-flight ring non-empty")
 	}
 	if q.BatchSize > 0 {
 		r.cfg.BatchSize = q.BatchSize
+		r.x.batch = q.BatchSize
 	}
-	if q.Capacity > 0 && q.Capacity != r.capN {
-		r.resizeRing(q.Capacity)
+	if q.Capacity > 0 {
+		// The workers are parked at their channel receive.
+		r.ring.Resize(q.Capacity, len(r.x.engines))
 	}
 	if q.Policy != nil {
 		r.cfg.Adaptive = true
 		r.cfg.Rebalance = *q.Policy
 	}
-	if q.Shards > 0 && q.Shards != len(r.engines) {
+	if q.Shards > 0 && q.Shards != len(r.x.engines) {
 		r.reshard(q.Shards)
 	} else if q.Policy != nil {
 		r.restartAdaptive()
 	}
 	r.reshapes.Add(1)
-}
-
-// resizeRing replaces the in-flight completion ring. Only legal while the
-// ring is empty (the reshape barrier guarantees it): the workers are parked
-// at their channel receive, so the next batch send publishes the new slices
-// to them.
-func (r *Router) resizeRing(c int) {
-	k := len(r.engines)
-	r.capN = c
-	r.probeStream = make([]uint8, c)
-	r.probeSeq = make([]uint64, c)
-	r.results = make([][][]uint64, c)
-	for i := range r.results {
-		r.results[i] = make([][]uint64, k)
-	}
-	r.nbuck = make([]int32, c)
-	r.state = make([]probeState, c)
 }
 
 // reshard is the structural half of a reshape epoch: stop the worker set
@@ -661,19 +456,16 @@ func (r *Router) resizeRing(c int) {
 // live window tuple into it, rebuild the routing fan-out state, and restart
 // the workers.
 func (r *Router) reshard(want int) {
-	for _, ch := range r.chans {
-		close(ch)
-	}
-	r.wg.Wait()
+	r.x.stop()
 	// Seal the retiring workers' lanes (they have exited; the sealed
 	// segments stay on disk until a later snapshot covers them). The new
 	// worker set gets fresh lanes below.
-	for _, l := range r.lanes {
+	for _, l := range r.x.lanes {
 		l.Close()
 	}
 	// Bank the retiring engines' merge statistics so Close's totals survive
 	// the rebuild.
-	for _, e := range r.engines {
+	for _, e := range r.x.engines {
 		m, t := e.merges(r.cfg.Self)
 		r.baseMerges += m
 		r.baseMergeTime += t
@@ -688,63 +480,19 @@ func (r *Router) reshard(want int) {
 	cfg := r.cfg
 	cfg.Part = part
 	cfg.Shards = k
-	// Per-slot migration watermarks: the count-window eviction frontier, or
-	// the highest timestamp watermark any retiring store has applied (timed
-	// mode — released timestamps are monotone, so it is the global frontier).
-	var wms [2]uint64
-	for slot := 0; slot < 2; slot++ {
-		if cfg.Timed {
-			for _, e := range r.engines {
-				if w := e.stores[slot].wm; w > wms[slot] {
-					wms[slot] = w
-				}
-			}
-		} else if r.heads[slot] > r.wlen[slot] {
-			wms[slot] = r.heads[slot] - r.wlen[slot]
-		}
-	}
-	engines := make([]*engine, k)
-	lanes := make([]*wal.Lane, k)
-	for s := range engines {
-		engines[s] = newEngine(cfg)
-		if cfg.WAL != nil {
-			lanes[s] = cfg.WAL.NewLane()
-		}
-	}
-	r.moved.Add(int64(migrate(r.engines, engines, cfg, part, wms)))
-
-	chans := make([]chan []op, k)
-	free := make([]chan []op, k)
-	pend := make([]pendingBatch, k)
-	results := make([][][]uint64, r.capN)
-	for i := range results {
-		results[i] = make([][]uint64, k)
-	}
-	for s := 0; s < k; s++ {
-		chans[s] = make(chan []op, shardChanCap)
-		free[s] = make(chan []op, freeChanCap)
-		pend[s].first = -1
-	}
+	engines, lanes := newEngines(cfg, k)
+	r.moved.Add(int64(migrate(r.x.engines, engines, cfg, part, r.frontiers())))
+	r.ring.Resize(r.ring.Capacity(), k)
 	r.snapMu.Lock()
 	r.cfg = cfg
 	r.part = part
-	r.engines = engines
-	r.lanes = lanes
-	r.chans = chans
-	r.free = free
-	r.pend = pend
-	r.results = results
+	r.x.start(engines, lanes)
 	r.probeRouted = make([]int, k)
-	r.qhw = make([]metrics.PaddedCounter, k)
 	// The load accounting is sized per shard: drop it in the same critical
 	// section as the engine swap (a scraper must never pair new engines with
 	// old counters); restartAdaptive below rebuilds it at the new size.
 	r.stats = nil
 	r.snapMu.Unlock()
-	for s := 0; s < k; s++ {
-		r.wg.Add(1)
-		go r.worker(s)
-	}
 	r.restartAdaptive()
 }
 
@@ -761,11 +509,11 @@ func (r *Router) restartAdaptive() {
 		return
 	}
 	r.pol = r.cfg.Rebalance.withDefaults(r.cfg)
-	stats := newLoadStats(len(r.engines))
+	stats := newLoadStats(len(r.x.engines))
 	r.snapMu.Lock()
 	r.stats = stats
 	r.snapMu.Unlock()
-	r.lastReb = r.n
+	r.lastReb = r.ring.Admitted()
 	if r.pol.ForceEvery <= 0 {
 		r.reb = startRebalancer(stats, r.pol)
 	}
@@ -776,7 +524,7 @@ func (r *Router) restartAdaptive() {
 func (r *Router) Shards() int {
 	r.snapMu.RLock()
 	defer r.snapMu.RUnlock()
-	return len(r.engines)
+	return len(r.x.engines)
 }
 
 // Reshapes returns how many reshape epochs have been applied. Safe from any
@@ -791,18 +539,18 @@ func (r *Router) Reshapes() int { return int(r.reshapes.Load()) }
 // and Matches(); the session stays usable. Router-goroutine only.
 func (r *Router) Drain() {
 	if r.reorder != nil {
-		r.reorder.Flush(r.routeTimed)
+		r.reorder.Flush(r.route)
 	}
-	r.drainBarrier()
-	r.propagate()
+	r.x.drainBarrier()
+	r.ring.Propagate()
 	if r.cfg.WAL != nil {
 		// Drain is the durability checkpoint: record the frontier (the
 		// watermark record makes the reorder clock recoverable even when the
 		// disorder slack would otherwise hold it back) and fsync every lane.
 		// The workers are parked at their channel receive behind the barrier,
 		// so the router may touch their lanes.
-		r.metaLane.AppendWatermark(r.heads, r.reorderMaxTS(), r.reorderFloor())
-		for _, l := range r.lanes {
+		r.metaLane.AppendWatermark(r.seq.heads, r.reorderMaxTS(), r.reorderFloor())
+		for _, l := range r.x.lanes {
 			l.Sync()
 		}
 		r.metaLane.Sync()
@@ -827,12 +575,12 @@ func (r *Router) Migrated() int { return int(r.moved.Load()) }
 func (r *Router) LoadSnapshot() []ShardLoad {
 	r.snapMu.RLock()
 	defer r.snapMu.RUnlock()
-	out := make([]ShardLoad, len(r.engines))
+	out := make([]ShardLoad, len(r.x.engines))
 	for s := range out {
 		out[s] = ShardLoad{
-			QueueDepth: len(r.chans[s]),
-			QueueHW:    r.qhw[s].Load(),
-			Resident:   int(r.engines[s].resident.Load()),
+			QueueDepth: len(r.x.chans[s]),
+			QueueHW:    r.x.qhw[s].Load(),
+			Resident:   int(r.x.engines[s].resident.Load()),
 		}
 		if r.stats != nil {
 			out[s].Inserts = r.stats.inserts[s].Load()
@@ -842,73 +590,20 @@ func (r *Router) LoadSnapshot() []ShardLoad {
 	return out
 }
 
-// enqueue appends an op to a shard's pending batch, flushing on size. Batch
-// slices are recycled through the shard's free channel; a fresh allocation
-// only happens during warmup (or when a worker briefly held more batches
-// than the free channel's headroom).
-func (r *Router) enqueue(s int, o op) {
-	p := &r.pend[s]
-	if p.first < 0 {
-		p.first = r.n
-		if p.ops == nil {
-			select {
-			case b := <-r.free[s]:
-				p.ops = b[:0]
-			default:
-				p.ops = make([]op, 0, r.cfg.BatchSize)
-			}
-		}
-	}
-	p.ops = append(p.ops, o)
-	if len(p.ops) >= r.cfg.BatchSize {
-		r.sizeFlushes++
-		r.flush(s)
-	}
-}
-
-// flushExpired flushes every shard whose oldest buffered op has aged past
-// the flush horizon (the batching analogue of window expiry: an op may not
-// linger while the window slides a full length past it).
-func (r *Router) flushExpired() {
-	for s := range r.pend {
-		if f := r.pend[s].first; f >= 0 && r.n-f >= r.cfg.FlushHorizon {
-			r.horizonFlushes++
-			r.flush(s)
-		}
-	}
-}
-
-// flush ships a shard's pending batch to its worker, updating the shard's
-// queue-depth high-water mark (router goroutine is the single writer; the
-// depth observed right after the send is the ride-along sample that makes
-// the mark monotone without touching the worker's consume path).
-func (r *Router) flush(s int) {
-	p := &r.pend[s]
-	if len(p.ops) == 0 {
-		return
-	}
-	r.chans[s] <- p.ops
-	if d := uint64(len(r.chans[s])); d > r.qhw[s].Load() {
-		r.qhw[s].Store(d)
-	}
-	p.ops = nil
-	p.first = -1
-}
-
 // FlushCounts reports how many batch flushes were triggered by the size
 // bound and by the flush horizon.
 func (r *Router) FlushCounts() (size, horizon int) {
-	return r.sizeFlushes, r.horizonFlushes
+	return r.x.sizeFlushes, r.horizonFlushes
 }
 
 // Matches returns the number of matches propagated so far. Safe to call
 // from any goroutine; the count trails routing by at most the unflushed
 // batches.
-func (r *Router) Matches() uint64 { return r.matchesA.Load() }
+func (r *Router) Matches() uint64 { return r.ring.Matches() }
 
 // Tuples returns the number of arrivals routed so far (in timed mode,
 // admitted by the reorder buffer). Safe from any goroutine.
-func (r *Router) Tuples() int { return int(r.routed.Load()) }
+func (r *Router) Tuples() int { return r.ring.Published() }
 
 // Close flushes all pending batches, stops the workers, performs the final
 // ordered propagation, and returns the run's statistics (Elapsed is left to
@@ -919,31 +614,27 @@ func (r *Router) Close() join.Stats {
 	}
 	if r.reorder != nil {
 		// End-of-stream: route every tuple still held by the reorder buffer.
-		r.reorder.Flush(r.routeTimed)
+		r.reorder.Flush(r.route)
 	}
-	for s := range r.pend {
-		r.flush(s)
-	}
-	for _, ch := range r.chans {
-		close(ch)
-	}
-	r.wg.Wait()
-	r.propagate()
+	r.x.close()
 	if r.cfg.WAL != nil {
 		// Seal the log: final frontier record, then flush+fsync+close every
 		// lane. The sealed segments are the recovery source for a reopen.
-		r.metaLane.AppendWatermark(r.heads, r.reorderMaxTS(), r.reorderFloor())
-		for _, l := range r.lanes {
+		r.metaLane.AppendWatermark(r.seq.heads, r.reorderMaxTS(), r.reorderFloor())
+		for _, l := range r.x.lanes {
 			l.Close()
 		}
 		r.metaLane.Close()
 	}
-	st := join.Stats{Tuples: r.n, Matches: r.matches, Rebalances: int(r.epochs.Load()), Migrated: int(r.moved.Load())}
+	st := join.Stats{
+		Tuples: r.ring.Admitted(), Matches: r.ring.Matches(),
+		Rebalances: int(r.epochs.Load()), Migrated: int(r.moved.Load()),
+	}
 	if r.reorder != nil {
 		st.LateDropped = r.reorder.LateDropped()
 		st.MaxDisorder = r.reorder.MaxDisorder()
 	}
-	for _, e := range r.engines {
+	for _, e := range r.x.engines {
 		m, t := e.merges(r.cfg.Self)
 		st.Merges += m
 		st.MergeTime += t
@@ -951,104 +642,6 @@ func (r *Router) Close() join.Stats {
 	st.Merges += r.baseMerges
 	st.MergeTime += r.baseMergeTime
 	return st
-}
-
-// worker is one shard's goroutine: apply each batch in FIFO order, run
-// deferred index maintenance, and volunteer for ordered propagation.
-func (r *Router) worker(s int) {
-	defer r.wg.Done()
-	e := r.engines[s]
-	lane := r.lanes[s] // nil when durability is off
-	for batch := range r.chans[s] {
-		if batch == nil {
-			// Rebalance drain barrier: everything routed before the
-			// sentinel has been applied (the queue is FIFO). Acknowledge
-			// and block on the next receive while the router migrates.
-			r.barrier.Done()
-			continue
-		}
-		for j := range batch {
-			o := &batch[j]
-			if o.kind == opInsert {
-				if lane != nil {
-					lane.AppendInsert(o.stream, o.key, o.seq, o.ts)
-				}
-				e.insert(o)
-				continue
-			}
-			slot := o.idx % r.capN
-			// The bucket slice is recycled across ring tenants: probe
-			// appends into its storage and returns the (possibly regrown)
-			// slice. Safe because the propagation frontier retired the
-			// previous tenant before the router reused the slot.
-			r.results[slot][o.bucket] = e.probe(o, r.results[slot][o.bucket])
-			if r.state[slot].pending.Add(-1) == 0 {
-				r.state[slot].completed.Store(true)
-			}
-		}
-		e.maintain(r.cfg.Self)
-		e.updateResident(r.cfg.Self)
-		// Return the consumed batch slice for reuse; drop it when the free
-		// channel is full (warmup overshoot).
-		select {
-		case r.free[s] <- batch[:0]:
-		default:
-		}
-		r.propagate()
-	}
-}
-
-// propagate is the order-preserving merge stage: under a try-lock, emit the
-// matches of every completed arrival at the queue head, in arrival order.
-// Within one arrival, buckets are emitted in shard order, which is key-range
-// order for a monotone partitioner. After releasing the lock the holder
-// re-checks the head: a shard whose completion lost the try-lock race while
-// this holder was mid-pass must not strand its arrival, so the holder loops
-// until the head is incomplete (Go's sequentially consistent atomics make
-// the re-check sound).
-func (r *Router) propagate() {
-	for {
-		if !r.propLock.CompareAndSwap(false, true) {
-			return
-		}
-		routed := int(r.routed.Load())
-		head := int(r.propHead.Load())
-		advanced := false
-		for head < routed && r.state[head%r.capN].completed.Load() {
-			h := head % r.capN
-			// Only the buckets this arrival fanned out to are live; the row
-			// and its bucket slices stay allocated for the slot's next
-			// tenant.
-			for _, bucket := range r.results[h][:r.nbuck[h]] {
-				r.matches += uint64(len(bucket))
-				if r.cfg.Sink != nil {
-					for _, mseq := range bucket {
-						r.cfg.Sink(r.probeStream[h], r.probeSeq[h], mseq)
-					}
-				}
-			}
-			head++
-			advanced = true
-		}
-		if advanced {
-			// The match mirror first: a drainer that observes the advanced
-			// frontier must also observe the matches behind it.
-			r.matchesA.Store(r.matches)
-			r.propHead.Store(int64(head))
-		}
-		r.propLock.Store(false)
-		if advanced && r.bpWaiters.Load() > 0 {
-			// Wake the router if it is blocked on ring space; skipped when
-			// it is not, keeping the merge stage off the mutex.
-			r.bpMu.Lock()
-			r.bpCond.Broadcast()
-			r.bpMu.Unlock()
-		}
-		routed = int(r.routed.Load())
-		if head >= routed || !r.state[head%r.capN].completed.Load() {
-			return
-		}
-	}
 }
 
 // Run executes the sharded join over a pre-materialized arrival sequence and
@@ -1080,12 +673,4 @@ func RunTimed(arrivals []join.TimedArrival, cfg Config) join.Stats {
 	st := r.Close()
 	st.Elapsed = time.Since(start)
 	return st
-}
-
-// opposite returns the other stream id (mirrors internal/join).
-func opposite(s uint8) uint8 {
-	if s == stream.StreamR {
-		return stream.StreamS
-	}
-	return stream.StreamR
 }

@@ -281,7 +281,7 @@ func TestBatchFlushOnWindowExpiry(t *testing.T) {
 	if _, horizon := r.FlushCounts(); horizon == 0 {
 		t.Fatal("no horizon flush after the window slid past shard 0's pending ops")
 	}
-	if r.pend[0].first >= 0 {
+	if r.x.pend[0].first >= 0 {
 		t.Fatal("shard 0 still has pending ops after the horizon flush")
 	}
 	// The early match becomes visible without Close: the flushed batch

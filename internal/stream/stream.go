@@ -249,6 +249,14 @@ const (
 	StreamS = uint8(1)
 )
 
+// Opposite returns the other stream id of a two-way join.
+func Opposite(s uint8) uint8 {
+	if s == StreamR {
+		return StreamS
+	}
+	return StreamR
+}
+
 // Arrival is one tuple arrival: which stream it belongs to and its join key.
 type Arrival struct {
 	Stream uint8

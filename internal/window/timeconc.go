@@ -115,9 +115,6 @@ func (c *TimeConcurrent) Get(ref uint32) (key uint32, ts, seq uint64, ok bool) {
 // KeyAt returns the key of a published, unreclaimed sequence number.
 func (c *TimeConcurrent) KeyAt(seq uint64) uint32 { return c.slots[seq&c.mask].key.Load() }
 
-// TSAt returns the timestamp of a published, unreclaimed sequence number.
-func (c *TimeConcurrent) TSAt(seq uint64) uint64 { return c.slots[seq&c.mask].ts.Load() }
-
 // RefOf maps a sequence number to its ring reference.
 func (c *TimeConcurrent) RefOf(seq uint64) uint32 { return uint32(seq & c.mask) }
 

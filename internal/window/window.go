@@ -251,12 +251,6 @@ func (c *Concurrent) MarkIndexed(seq uint64) {
 	metrics.Store(4)
 }
 
-// IsIndexed reports whether the tuple with sequence number seq has been
-// inserted into its index.
-func (c *Concurrent) IsIndexed(seq uint64) bool {
-	return c.slots[seq&c.mask].indexed.Load() == 1
-}
-
 // TryAdvanceEdge implements the edge-tuple update of Section 4.1: a
 // test-and-set guarded walk that advances the edge past every consecutively
 // indexed tuple. If another thread holds the lock the call returns
@@ -282,10 +276,6 @@ func (c *Concurrent) TryAdvanceEdge() {
 	}
 	c.edgeLock.Store(false)
 }
-
-// SetEdge forcibly positions the edge; the merge coordinator uses it when
-// replaying pending updates (Section 4.2, phase 2).
-func (c *Concurrent) SetEdge(seq uint64) { c.edge.Store(seq) }
 
 // ScanRange invokes emit for every published tuple with lo <= seq < hi,
 // reading keys directly. This is the linear search of the non-indexed window
